@@ -61,7 +61,7 @@ __all__ = [
     # federation broker
     "BrokerError", "BrokerQuotaError", "NoCapacityError",
     # storage
-    "StorageError", "SnapshotError",
+    "StorageError", "StorageCorruptError", "SnapshotError",
 ]
 
 
@@ -144,6 +144,7 @@ _HOMES = {
     "BrokerQuotaError": "repro.broker.errors",
     "NoCapacityError": "repro.broker.errors",
     "StorageError": "repro.storage.errors",
+    "StorageCorruptError": "repro.storage.errors",
     "SnapshotError": "repro.storage.errors",
 }
 

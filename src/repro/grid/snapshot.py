@@ -28,12 +28,12 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.storage.codec import decode_value, encode_value
-from repro.storage.errors import SnapshotError
+from repro.storage.errors import SnapshotError, StorageError
 
 __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 
 #: Bump when the on-disk layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -51,7 +51,7 @@ class GridSnapshot:
 
     # -- serialization -------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Canonical encoding (the storage codec, so bytes survive JSON)."""
+        """Canonical encoding through the storage value codec."""
         return encode_value({
             "version": self.version,
             "clock": self.clock,
@@ -66,9 +66,14 @@ class GridSnapshot:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridSnapshot":
         try:
-            plain = typing.cast(dict, decode_value(raw))
-        except Exception as exc:
+            plain = decode_value(raw)
+        except StorageError as exc:
             raise SnapshotError(f"unreadable grid snapshot: {exc}") from exc
+        if not isinstance(plain, dict):
+            raise SnapshotError(
+                f"unreadable grid snapshot: top level is "
+                f"{type(plain).__name__}, not a record"
+            )
         version = plain.get("version")
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(

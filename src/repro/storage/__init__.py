@@ -20,8 +20,8 @@ from repro.storage.backend import (
     register_backend,
     resolve_storage,
 )
-from repro.storage.codec import decode_value, encode_value, from_plain, to_plain
-from repro.storage.errors import SnapshotError, StorageError
+from repro.storage.codec import decode_value, encode_value
+from repro.storage.errors import SnapshotError, StorageCorruptError, StorageError
 from repro.storage.journal import JobJournal, JournalEntry
 from repro.storage.memory import MemoryBackend
 from repro.storage.outcomes import OutcomeRecord, OutcomeStore
@@ -37,14 +37,13 @@ __all__ = [
     "SQLiteBackend",
     "SnapshotError",
     "StorageBackend",
+    "StorageCorruptError",
     "StorageError",
     "StorageSpec",
     "Table",
     "available_backends",
     "decode_value",
     "encode_value",
-    "from_plain",
     "register_backend",
     "resolve_storage",
-    "to_plain",
 ]

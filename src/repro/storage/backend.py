@@ -33,7 +33,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.storage.codec import decode_value, encode_value
-from repro.storage.errors import StorageError
+from repro.storage.errors import StorageCorruptError, StorageError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     import types
@@ -55,7 +55,7 @@ STORAGE_ENV = "REPRO_STORAGE"
 
 
 class Table:
-    """A named key/value table (string keys, codec-plain values)."""
+    """A named key/value table (string keys, codec values)."""
 
     def __init__(self, backend: "StorageBackend", name: str) -> None:
         self._backend = backend
@@ -165,34 +165,27 @@ class StorageBackend:
 
     # -- snapshot support ----------------------------------------------------
     def dump(self) -> dict[str, typing.Any]:
-        """The entire backend contents in codec-plain form."""
-        from repro.storage.codec import to_plain
-
+        """The entire backend contents as stored (codec bytes per row)."""
         tables = {
-            name: {
-                key: to_plain(decode_value(data))
-                for key, data in self._table_dump(name)
-            }
-            for name in self._table_names()
+            name: dict(self._table_dump(name)) for name in self._table_names()
         }
-        logs = {
-            name: [to_plain(decode_value(row)) for row in self._log_records(name)]
-            for name in self._log_names()
-        }
+        logs = {name: self._log_records(name) for name in self._log_names()}
         return {"tables": tables, "logs": logs}
 
     def load(self, dump: dict[str, typing.Any]) -> None:
-        """Replace the backend contents with a :meth:`dump`."""
-        from repro.storage.codec import from_plain
+        """Replace the backend contents with a :meth:`dump`.
 
+        Rows are carried through as stored; each one is decoded (and a
+        corrupt one reported as ``storage.corrupt``) when it is read.
+        """
         self._clear()
         with self.batch():
             for name, rows in dump.get("tables", {}).items():
-                for key, value in rows.items():
-                    self._table_put(name, key, encode_value(from_plain(value)))
+                for key, data in rows.items():
+                    self._table_put(name, key, _row(data))
             for name, records in dump.get("logs", {}).items():
-                for value in records:
-                    self._log_append(name, encode_value(from_plain(value)))
+                for data in records:
+                    self._log_append(name, _row(data))
 
     # -- instrumentation -----------------------------------------------------
     def _count_write(self, nbytes: int) -> None:
@@ -262,6 +255,15 @@ class StorageBackend:
     def _rollback(self) -> None:
         """Abandon the durable unit after an error (best effort)."""
         self._commit()
+
+
+def _row(data: object) -> bytes:
+    """A dumped row must be codec bytes; anything else is corruption."""
+    if not isinstance(data, bytes):
+        raise StorageCorruptError(
+            f"dumped storage row is {type(data).__name__}, not bytes"
+        )
+    return data
 
 
 class _Batch:

@@ -1,9 +1,12 @@
 """The default in-process backend: deterministic, zero-dependency.
 
-Values still pass through the canonical byte codec on every write and
-read, so the in-memory backend has *exactly* the round-trip semantics
-of SQLite (tuples come back as lists, dict keys as strings, bytes as
-bytes) — a test that passes here passes there.
+The dictionaries hold the same codec bytes SQLite stores: the shared
+:class:`~repro.storage.backend.Table`/``Log`` surface encodes on write
+and decodes on read, so the in-memory backend has *exactly* the
+round-trip semantics of SQLite (tuples come back as lists, dict keys as
+strings, bytes as bytes) — a test that passes here passes there.  The
+tagged binary codec makes that parity cheap: byte strings are copied,
+not text-escaped.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def test_registry_spans_every_layer():
         "batch.error", "vfs.quota", "resources.page",
         "security.authentication", "ajo.dependency_cycle",
         "protocol.retry_exhausted", "faults.circuit_open",
-        "broker.no_capacity", "storage.snapshot",
+        "broker.no_capacity", "storage.snapshot", "storage.corrupt",
     ):
         assert code in registry, code
     assert len(registry) >= 40

@@ -1,13 +1,20 @@
 """Unit tests for the pluggable persistence layer.
 
-Backends (memory + sqlite), the value codec, spec parsing, transactional
-batches with rollback, instrumentation counters, the journal-over-storage
-refactor, and the deprecated-module compatibility shims.
+Backends (memory + sqlite), the value codec and its corruption errors,
+the snapshot format, spec parsing, transactional batches with rollback,
+instrumentation counters, the journal-over-storage refactor, and the
+deprecated-module compatibility shims.
 """
 
+import json
+import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.grid.snapshot import GridSnapshot
 
 from repro.observability import MetricsRegistry
 from repro.storage import (
@@ -15,7 +22,9 @@ from repro.storage import (
     MemoryBackend,
     OutcomeRecord,
     OutcomeStore,
+    SnapshotError,
     SQLiteBackend,
+    StorageCorruptError,
     StorageError,
     StorageSpec,
     available_backends,
@@ -31,20 +40,170 @@ BACKENDS = [MemoryBackend, SQLiteBackend]
 def test_codec_round_trips_bytes_tuples_and_nesting():
     value = {
         "raw": b"\x00\xff\xca\xfe",
-        "nested": {"list": [1, 2.5, None, True, b"x"]},
+        "nested": {"list": [1, 2.5, None, True, False, b"x"]},
         "tuple": (1, "two", b"three"),
+        "ints": [0, -1, 127, 128, -129, 2**200, -(2**70)],
+        "floats": [-0.0, float("inf"), 1e-300],
+        "text": "J\u00fclich \u2713",
+        "empty": [b"", "", {}, [], ()],
+        "buffer": bytearray(b"\x01\x02"),
+        "keys": {1: "int", None: "none", 2.5: "float"},
     }
     decoded = decode_value(encode_value(value))
     assert decoded["raw"] == b"\x00\xff\xca\xfe"
-    assert decoded["nested"]["list"] == [1, 2.5, None, True, b"x"]
-    # Tuples canonicalize to lists (JSON has no tuple type).
+    assert decoded["nested"]["list"] == [1, 2.5, None, True, False, b"x"]
+    # Tuples canonicalize to lists; dict keys are coerced with str().
     assert decoded["tuple"] == [1, "two", b"three"]
+    assert decoded["ints"] == value["ints"]
+    assert decoded["floats"] == value["floats"]
+    assert str(decoded["floats"][0]) == "-0.0"
+    assert decoded["text"] == value["text"]
+    assert decoded["empty"] == [b"", "", {}, [], []]
+    assert type(decoded["buffer"]) is bytes and decoded["buffer"] == b"\x01\x02"
+    assert decoded["keys"] == {"1": "int", "None": "none", "2.5": "float"}
 
 
 def test_codec_is_canonical():
     a = encode_value({"b": 1, "a": 2})
     b = encode_value({"a": 2, "b": 1})
     assert a == b
+
+
+def test_codec_rejects_unsupported_types():
+    for bad in ({1, 2}, object(), {"nested": [frozenset()]}):
+        with pytest.raises(TypeError, match="plain data"):
+            encode_value(bad)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"",  # nothing at all
+        b"\x09",  # unknown tag
+        b'{"version":1}',  # a JSON-era record
+        b"\x05\x00\x00\x00\x05abc",  # str shorter than its length
+        b"\x05\x00\x00\x00\x01\xff",  # invalid UTF-8
+        b"\x08\x00\x00\x00\x01\x00\x00\x00\x01\xfe\x00",  # bad key
+        b"\x04\x00\x00",  # truncated float
+        b"\x07\x00\x00\x00\x02\x00",  # list missing an item
+        b"\x00\x00",  # trailing bytes
+        b"\x07\x00\x00\x00\x01" * 50_000,  # nesting deeper than the stack
+    ],
+    ids=[
+        "empty", "unknown-tag", "json", "short-str", "bad-utf8", "bad-key",
+        "short-float", "short-list", "trailing", "too-deep",
+    ],
+)
+def test_decode_raises_typed_corruption_error(raw):
+    with pytest.raises(StorageCorruptError) as info:
+        decode_value(raw)
+    assert info.value.code == "storage.corrupt"
+    assert isinstance(info.value, StorageError)
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | st.floats(allow_nan=False)
+    | st.text()
+    | st.binary()
+)
+plain_values = st.recursive(
+    _leaves,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text() | st.integers(), children, max_size=5)
+    ),
+    max_leaves=25,
+)
+
+
+def _json_era(value):
+    """What the JSON-era codec returned: lists for tuples, str keys."""
+    if isinstance(value, (list, tuple)):
+        return [_json_era(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _json_era(item) for key, item in value.items()}
+    return value
+
+
+def _reversed_dicts(value):
+    """The same value with every dict built in reverse insertion order."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reversed_dicts(item) for item in value)
+    if isinstance(value, dict):
+        items = list(value.items())[::-1]
+        if len({str(key) for key, _ in items}) < len(items):
+            return value  # colliding keys: last insertion wins, keep order
+        return {key: _reversed_dicts(item) for key, item in items}
+    return value
+
+
+@given(plain_values)
+@settings(max_examples=200, deadline=None)
+def test_codec_round_trip_matches_json_era_semantics(value):
+    data = encode_value(value)
+    decoded = decode_value(data)
+    assert decoded == _json_era(value)
+    # == conflates True/1/1.0 and 0.0/-0.0; the re-encoding does not.
+    assert encode_value(decoded) == data
+
+
+@given(plain_values)
+@settings(max_examples=200, deadline=None)
+def test_codec_ignores_dict_insertion_order(value):
+    assert encode_value(_reversed_dicts(value)) == encode_value(value)
+
+
+@given(st.binary(max_size=256))
+@settings(max_examples=500, deadline=None)
+def test_decode_arbitrary_bytes_raises_only_storage_errors(raw):
+    try:
+        decode_value(raw)
+    except StorageError:
+        pass
+
+
+@given(plain_values, st.data())
+@settings(max_examples=200, deadline=None)
+def test_decode_truncated_or_mutated_encodings(value, data):
+    encoded = encode_value(value)
+    cut = data.draw(st.integers(0, len(encoded) - 1))
+    with pytest.raises(StorageCorruptError):
+        decode_value(encoded[:cut])
+    flip = data.draw(st.integers(0, len(encoded) - 1))
+    mutated = bytearray(encoded)
+    mutated[flip] ^= data.draw(st.integers(1, 255))
+    try:
+        decode_value(bytes(mutated))
+    except StorageError:
+        pass
+
+
+# -- snapshot format ---------------------------------------------------------
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # A version-1 snapshot: sorted JSON with base64-tagged bytes.
+        json.dumps({
+            "version": 1, "clock": 0.0, "build": {}, "users": [],
+            "workstation_files": {}, "network": {}, "gateway_rr": {},
+            "storage": {"tables": {}, "logs": {"l": [{"\u0000b64": "AA=="}]}},
+        }, sort_keys=True, separators=(",", ":")).encode("utf-8"),
+        random.Random(0).randbytes(4096),
+        random.Random(1).randbytes(7),
+        b"",
+        encode_value(["not", "a", "record"]),
+        encode_value({"version": 1}),
+    ],
+    ids=["v1-json", "garbage-4k", "garbage-7", "empty", "list", "old-version"],
+)
+def test_snapshot_rejects_old_formats_and_garbage(raw):
+    with pytest.raises(SnapshotError):
+        GridSnapshot.from_bytes(raw)
 
 
 # -- backends ----------------------------------------------------------------
@@ -84,12 +243,24 @@ def test_dump_load_round_trip_across_backends(backend_cls):
     src.table("t1").put("k", {"payload": b"\x01\x02"})
     src.log("l1").append({"kind": "consign", "ajo": b"raw"})
     dump = src.dump()
+    # Rows travel as stored codec bytes, not re-encoded values.
+    assert dump["tables"]["t1"]["k"] == encode_value({"payload": b"\x01\x02"})
     for dst_cls in BACKENDS:
         dst = dst_cls()
         dst.load(dump)
         assert dst.table("t1").get("k") == {"payload": b"\x01\x02"}
         assert dst.log("l1").records() == [{"kind": "consign", "ajo": b"raw"}]
         assert dst.dump() == dump
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_load_rejects_rows_that_are_not_codec_bytes(backend_cls):
+    backend = backend_cls()
+    with pytest.raises(StorageCorruptError):
+        backend.load({"tables": {"t": {"k": {"payload": 1}}}})
+    backend.load({"logs": {"l": [b"\x09"]}})
+    with pytest.raises(StorageCorruptError):
+        backend.log("l").records()
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
